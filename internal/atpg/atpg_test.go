@@ -60,6 +60,17 @@ func TestPodemCombinationalBasics(t *testing.T) {
 	}
 }
 
+// podem runs one PODEM attempt for a fault on a fresh search.
+func podem(c *gates.Circuit, f fault.Fault, frames, backtrackLimit int, rng *rand.Rand) (*podemResult, error) {
+	tb, err := newPodemTables(c)
+	if err != nil {
+		return nil, err
+	}
+	fs := newFrameSim(tb)
+	fs.setFault(f)
+	return fs.podem(frames, backtrackLimit, rng), nil
+}
+
 // vectorDetects replays a PODEM assignment on the bit-parallel simulator
 // and checks good/faulty divergence.
 func vectorDetects(t *testing.T, c *gates.Circuit, f fault.Fault, assign [][]int8) bool {
@@ -172,7 +183,7 @@ func TestPodemGeneratedVectorsAlwaysDetect(t *testing.T) {
 
 // benchCircuit synthesizes a benchmark with left-edge allocation and
 // generates its normal-mode netlist.
-func benchCircuit(t *testing.T, name string, width int) *gates.Circuit {
+func benchCircuit(t testing.TB, name string, width int) *gates.Circuit {
 	t.Helper()
 	g, err := dfg.ByName(name, width)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/chaos"
@@ -171,8 +172,14 @@ type Result struct {
 	Coverage float64
 	// Effort is the test-generation effort in kilo-gate-evaluations
 	// (random-phase simulation plus PODEM implications): the reproduction
-	// counterpart of the paper's "test generation time".
+	// counterpart of the paper's "test generation time". PODEM is charged
+	// the nominal frames x gates of every implication pass, whatever its
+	// event-driven simulation actually re-evaluated.
 	Effort int64
+	// GateEvals is the number of gate evaluations actually performed by
+	// the random phase and PODEM (a plain count, not kilo). PODEM's
+	// event-driven implication makes it far smaller than Effort implies.
+	GateEvals int64
 	// TestCycles is the total test-application length in clock cycles of
 	// the compacted test set: the counterpart of "test generated cycle".
 	TestCycles int
@@ -282,7 +289,7 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 	// A panic inside one fault's search is isolated: it becomes an
 	// OutcomePanicked entry plus a recorded *exec.ExecError, and every
 	// other fault is still processed.
-	var detImpl int64
+	var detImpl, detEvals int64
 	if exhausted == "" {
 		comb := len(c.DFFs) == 0
 		frameSchedule := frameEscalation(cfg.MaxFrames)
@@ -291,6 +298,16 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 			if !detected[i] {
 				undet = append(undet, i)
 			}
+		}
+		// One set of circuit tables serves every search; search engines
+		// and their buffers are recycled from fault to fault.
+		var sims sync.Pool
+		if len(undet) > 0 {
+			tables, err := newPodemTables(c)
+			if err != nil {
+				return nil, err
+			}
+			sims.New = func() any { return newFrameSim(tables) }
 		}
 		dropped := make([]atomic.Bool, len(flist))
 		err := parallel.OrderedCtx(ctx, cfg.Workers, len(undet),
@@ -304,7 +321,10 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 					return detOutcome{}, nil
 				}
 				o, perr := exec.Guard1("atpg.podem", i, func() (detOutcome, error) {
-					return searchFault(ctx, c, flist[i], i, cfg, frameSchedule, comb), nil
+					fs := sims.Get().(*frameSim)
+					o := searchFault(ctx, fs, flist[i], i, cfg, frameSchedule, comb)
+					sims.Put(fs)
+					return o, nil
 				})
 				if perr != nil {
 					if ee, ok := exec.AsExecError(perr); ok {
@@ -341,6 +361,7 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 					return nil
 				}
 				detImpl += o.impl
+				detEvals += o.evals
 				switch {
 				case o.success:
 					detected[i] = true
@@ -402,12 +423,14 @@ func RunCtx(ctx context.Context, c *gates.Circuit, cfg Config) (*Result, error) 
 	}
 	res.Coverage = float64(count(detected)) / float64(len(flist))
 	res.Effort = (randGateEvals + detImpl) / 1000
+	res.GateEvals = randGateEvals + detEvals
 	return res, nil
 }
 
 // detOutcome is the result of one fault's full deterministic search.
 type detOutcome struct {
 	impl         int64
+	evals        int64
 	success      bool
 	frames       int
 	vec          [][]uint64
@@ -420,11 +443,12 @@ type detOutcome struct {
 }
 
 // searchFault runs the complete frame-escalation/restart PODEM search for
-// one fault. It depends only on (c, f, i, cfg), never on the state of
-// other faults, so it can run speculatively on any worker. The context is
-// checked at each restart boundary; a mid-search cancellation returns a
-// cut outcome rather than a half-trusted classification.
-func searchFault(ctx context.Context, c *gates.Circuit, f fault.Fault, i int, cfg Config, frameSchedule []int, comb bool) detOutcome {
+// one fault on a search engine. It depends only on (the engine's circuit,
+// f, i, cfg), never on the state of other faults, so it can run
+// speculatively on any worker. The context is checked at each restart
+// boundary; a mid-search cancellation returns a cut outcome rather than a
+// half-trusted classification.
+func searchFault(ctx context.Context, fs *frameSim, f fault.Fault, i int, cfg Config, frameSchedule []int, comb bool) detOutcome {
 	var out detOutcome
 	if cfg.testHookSearch != nil {
 		cfg.testHookSearch(i)
@@ -436,6 +460,7 @@ func searchFault(ctx context.Context, c *gates.Circuit, f fault.Fault, i int, cf
 		out.err = err
 		return out
 	}
+	fs.setFault(f)
 	for _, frames := range frameSchedule {
 		for restart := 0; restart <= cfg.Restarts; restart++ {
 			// The budget chaos site simulates the search budget expiring at a
@@ -446,18 +471,21 @@ func searchFault(ctx context.Context, c *gates.Circuit, f fault.Fault, i int, cf
 			}
 			var rng2 *rand.Rand
 			if restart > 0 {
-				rng2 = rand.New(rand.NewSource(cfg.Seed + int64(i)*1009 + int64(restart)))
+				// Reseeding the engine's generator yields the same stream as
+				// a fresh rand.NewSource without allocating its 5 KB state.
+				if fs.restartRNG == nil {
+					fs.restartRNG = rand.New(rand.NewSource(0))
+				}
+				rng2 = fs.restartRNG
+				rng2.Seed(cfg.Seed + int64(i)*1009 + int64(restart))
 			}
-			pr, err := podem(c, f, frames, cfg.BacktrackLimit, rng2)
-			if err != nil {
-				out.err = err
-				return out
-			}
+			pr := fs.podem(frames, cfg.BacktrackLimit, rng2)
 			out.impl += pr.Implications
+			out.evals += pr.GateEvals
 			if pr.Success {
 				out.success = true
 				out.frames = frames
-				out.vec = vectorsFromAssignment(c, pr.Vectors)
+				out.vec = vectorsFromAssignment(fs.c, pr.Vectors)
 				return out
 			}
 			if !pr.Aborted {
