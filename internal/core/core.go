@@ -16,8 +16,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/alloc"
@@ -259,11 +261,13 @@ func (st *state) analyze() *testability.Metrics {
 	return m
 }
 
+// clone returns a copy of st for a merger to modify. States are never
+// mutated once built, so the copy shares st's schedule, allocation and
+// the problem's arc slices (cap-limited by Problem.Clone, so appending
+// reallocates); a merger replaces, never mutates, what it changes.
 func (st *state) clone() *state {
 	c := *st
 	c.prob = st.prob.Clone()
-	c.s = st.s.Clone()
-	c.a = st.a.Clone()
 	return &c
 }
 
@@ -307,10 +311,15 @@ type candidate struct {
 	score    float64
 }
 
+// rankBuffers holds one tie policy's candidate lists, reused from one
+// merger-loop iteration to the next.
+type rankBuffers struct{ mods, regs []candidate }
+
 // rankCandidates lists mergeable module pairs and register pairs, each
-// ranked by the configured selection policy, best first.
-func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, regs []candidate) {
-	var cands []candidate
+// ranked by the configured selection policy, best first. The lists live in
+// buf and are valid until its next use.
+func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy, buf *rankBuffers) (mods, regs []candidate) {
+	mods, regs = buf.mods[:0], buf.regs[:0]
 	for i := 0; i < len(st.a.Modules); i++ {
 		for j := i + 1; j < len(st.a.Modules); j++ {
 			if st.a.Modules[i].Class != st.a.Modules[j].Class {
@@ -331,7 +340,7 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 					sc += 0.3 * float64(st.modDependencePairs(i, j))
 				}
 			}
-			cands = append(cands, candidate{isModule: true, i: i, j: j, score: sc})
+			mods = append(mods, candidate{isModule: true, i: i, j: j, score: sc})
 		}
 	}
 	for i := 0; i < len(st.a.Regs) && !st.par.ModulesOnly; i++ {
@@ -355,17 +364,17 @@ func (st *state) rankCandidates(m *testability.Metrics, tp tiePolicy) (mods, reg
 					sc += 2
 				}
 			}
-			cands = append(cands, candidate{isModule: false, i: i, j: j, score: sc})
+			regs = append(regs, candidate{isModule: false, i: i, j: j, score: sc})
 		}
 	}
-	sort.SliceStable(cands, func(x, y int) bool { return cands[x].score > cands[y].score })
-	for _, c := range cands {
-		if c.isModule {
-			mods = append(mods, c)
-		} else {
-			regs = append(regs, c)
-		}
+	// Best score first, equal scores in generation order (ascending
+	// pair): a total order, so an unstable sort yields the stable order.
+	byScore := func(x, y candidate) int {
+		return cmp.Or(cmp.Compare(y.score, x.score), cmp.Compare(x.i, y.i), cmp.Compare(x.j, y.j))
 	}
+	slices.SortFunc(mods, byScore)
+	slices.SortFunc(regs, byScore)
+	buf.mods, buf.regs = mods, regs
 	return mods, regs
 }
 
@@ -388,102 +397,64 @@ func (st *state) regsDisjointNow(i, j int) bool {
 // create: modules that read a value of one register and produce a value of
 // the other would then read and write the same register.
 func (st *state) regMergeSelfLoops(i, j int) int {
-	readersOf := func(r int) map[int]bool {
-		set := map[int]bool{}
-		for _, v := range st.a.Regs[r].Vals {
-			for _, u := range st.g.Value(v).Uses {
-				set[st.a.ModuleOf[u]] = true
-			}
-		}
-		return set
-	}
-	writersOf := func(r int) map[int]bool {
-		set := map[int]bool{}
-		for _, v := range st.a.Regs[r].Vals {
-			if d := st.g.Value(v).Def; d != dfg.NoNode {
-				set[st.a.ModuleOf[d]] = true
-			}
-		}
-		return set
-	}
+	var buf [4][16]int
+	ri, wi := st.regModules(i, buf[0][:0], buf[1][:0])
+	rj, wj := st.regModules(j, buf[2][:0], buf[3][:0])
 	loops := 0
-	ri, rj := readersOf(i), readersOf(j)
-	wi, wj := writersOf(i), writersOf(j)
-	for m := range ri {
-		if wj[m] {
+	for _, m := range ri {
+		if slices.Contains(wj, m) {
 			loops++
 		}
 	}
-	for m := range rj {
-		if wi[m] {
+	for _, m := range rj {
+		if slices.Contains(wi, m) {
 			loops++
 		}
 	}
 	return loops
 }
 
+// regModules appends to readers and writers the distinct modules that
+// read and that produce the values of register r.
+func (st *state) regModules(r int, readers, writers []int) ([]int, []int) {
+	add := func(set []int, m int) []int {
+		if slices.Contains(set, m) {
+			return set
+		}
+		return append(set, m)
+	}
+	for _, v := range st.a.Regs[r].Vals {
+		val := st.g.Value(v)
+		for _, u := range val.Uses {
+			readers = add(readers, st.a.ModuleOf[u])
+		}
+		if val.Def != dfg.NoNode {
+			writers = add(writers, st.a.ModuleOf[val.Def])
+		}
+	}
+	return readers, writers
+}
+
 // modDependencePairs counts the direct data dependences between the
 // operations of modules i and j: each such pair is already serialized by
-// the data flow, so merging costs nothing in scheduling freedom.
+// the data flow, so merging costs nothing in scheduling freedom. A pair
+// counts once per direction: b consuming a's result (b succeeds a) and a
+// consuming b's (b precedes a).
 func (st *state) modDependencePairs(i, j int) int {
-	inJ := map[dfg.NodeID]bool{}
-	for _, op := range st.a.Modules[j].Ops {
-		inJ[op] = true
-	}
 	pairs := 0
 	for _, op := range st.a.Modules[i].Ops {
-		for _, s := range st.g.Succs(op) {
-			if inJ[s] {
+		a := st.g.Node(op)
+		for _, other := range st.a.Modules[j].Ops {
+			b := st.g.Node(other)
+			if slices.Contains(b.In, a.Out) {
 				pairs++
 			}
-		}
-		for _, p := range st.g.Preds(op) {
-			if inJ[p] {
+			if slices.Contains(a.In, b.Out) {
 				pairs++
 			}
 		}
 	}
 	return pairs
-}
-
-// modMergeSelfLoops counts the self-loops merging modules i and j would
-// create: registers written by one module and read by the other would then
-// feed the merged module's own output back to its input.
-func (st *state) modMergeSelfLoops(i, j int) int {
-	reads := func(mod int) map[int]bool {
-		set := map[int]bool{}
-		for _, op := range st.a.Modules[mod].Ops {
-			for _, v := range st.g.Node(op).In {
-				if r, ok := st.a.RegOf[v]; ok {
-					set[r] = true
-				}
-			}
-		}
-		return set
-	}
-	writes := func(mod int) map[int]bool {
-		set := map[int]bool{}
-		for _, op := range st.a.Modules[mod].Ops {
-			if r, ok := st.a.RegOf[st.g.Node(op).Out]; ok {
-				set[r] = true
-			}
-		}
-		return set
-	}
-	loops := 0
-	ri, rj := reads(i), reads(j)
-	wi, wj := writes(i), writes(j)
-	for r := range ri {
-		if wj[r] {
-			loops++
-		}
-	}
-	for r := range rj {
-		if wi[r] {
-			loops++
-		}
-	}
-	return loops
 }
 
 // tiePolicy resolves near-ties in ΔC among a block's feasible candidates
@@ -603,6 +574,7 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 	}
 	exhausted := ""
 	var trace []string
+	var ranks rankBuffers
 	for iter := 0; ; iter++ {
 		if ctx.Err() != nil {
 			// Deadline mid-loop: keep the mergers committed so far and
@@ -614,7 +586,7 @@ func synthesizeOnce(ctx context.Context, g *dfg.Graph, par Params, tp tiePolicy,
 			return nil, fmt.Errorf("core: merger loop failed to terminate")
 		}
 		m := st.analyze()
-		modCands, regCands := st.rankCandidates(m, tp)
+		modCands, regCands := st.rankCandidates(m, tp, &ranks)
 		if len(modCands)+len(regCands) == 0 {
 			break
 		}
@@ -790,13 +762,17 @@ func (st *state) applyModuleMerge(i, j int, m *testability.Metrics) (*state, int
 	seqJ := sched.OrderByStep(st.a.Modules[j].Ops, st.s)
 	both := append(append([]dfg.NodeID{}, seqI...), seqJ...)
 
+	// Every serialization order yields the same merged allocation, so it
+	// is built once and shared by the orders' states.
+	merged := st.a.Clone()
+	if err := merged.MergeModules(i, j); err != nil {
+		return nil, 0, 0, err
+	}
 	apply := func(order []dfg.NodeID) (*state, int, float64, error) {
 		ns := st.clone()
-		if err := ns.a.MergeModules(i, j); err != nil {
-			return nil, 0, 0, err
-		}
+		ns.a = merged
 		ns.prob.Extra = append(ns.prob.Extra, sched.ChainArcs(order)...)
-		for op, mod := range ns.a.ModuleOf {
+		for op, mod := range merged.ModuleOf {
 			ns.prob.ModuleOf[op] = mod
 		}
 		return st.reschedule(ns)
@@ -933,30 +909,33 @@ func (st *state) preferSR(m *testability.Metrics) sched.Prefer {
 // from controllable to observable registers is kept (SR1), with ΔE as the
 // tie-breaker.
 func (st *state) applyRegMerge(i, j int, m *testability.Metrics) (*state, int, float64, error) {
+	// MergeRegs is symmetric, so both orders share one merged allocation.
+	merged := st.a.Clone()
+	if err := merged.MergeRegs(i, j); err != nil {
+		return nil, 0, 0, err
+	}
 	tryOrder := func(first, second int) (*state, int, float64, error) {
-		ns := st.clone()
-		strict, weak, err := ns.serializeRegs(first, second)
+		strict, weak, err := st.serializeRegs(first, second)
 		if err != nil {
 			return nil, 0, 0, err
 		}
 		if st.par.Reschedule == RescheduleFrozen {
 			// Arcs must already hold in the current schedule.
 			for _, a := range strict {
-				if ns.s.Step[a[0]] >= ns.s.Step[a[1]] {
+				if st.s.Step[a[0]] >= st.s.Step[a[1]] {
 					return nil, 0, 0, fmt.Errorf("core: frozen schedule violates lifetime arc")
 				}
 			}
 			for _, a := range weak {
-				if ns.s.Step[a[0]] > ns.s.Step[a[1]] {
+				if st.s.Step[a[0]] > st.s.Step[a[1]] {
 					return nil, 0, 0, fmt.Errorf("core: frozen schedule violates lifetime arc")
 				}
 			}
 		}
+		ns := st.clone()
+		ns.a = merged
 		ns.prob.Extra = append(ns.prob.Extra, strict...)
 		ns.prob.ExtraWeak = append(ns.prob.ExtraWeak, weak...)
-		if err := ns.a.MergeRegs(first, second); err != nil {
-			return nil, 0, 0, err
-		}
 		return st.reschedule(ns)
 	}
 	s1, e1, h1, err1 := tryOrder(i, j)
@@ -1010,12 +989,12 @@ func meanRegSeqDepth(st *state) float64 {
 // is created, pairing the values in lifetime order (the general case of
 // §4.3.2 handled like the module merge sort). When the current lifetimes
 // of a pair are already disjoint, no arc is added for it.
-func (ns *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID, err error) {
-	g := ns.g
-	valsA := append([]dfg.ValueID(nil), ns.a.Regs[first].Vals...)
-	valsB := append([]dfg.ValueID(nil), ns.a.Regs[second].Vals...)
+func (st *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID, err error) {
+	g := st.g
+	valsA := append([]dfg.ValueID(nil), st.a.Regs[first].Vals...)
+	valsB := append([]dfg.ValueID(nil), st.a.Regs[second].Vals...)
 	byBirth := func(vs []dfg.ValueID) {
-		sort.Slice(vs, func(x, y int) bool { return ns.life[vs[x]].Birth < ns.life[vs[y]].Birth })
+		sort.Slice(vs, func(x, y int) bool { return st.life[vs[x]].Birth < st.life[vs[y]].Birth })
 	}
 	byBirth(valsA)
 	byBirth(valsB)
@@ -1028,7 +1007,7 @@ func (ns *state) serializeRegs(first, second int) (strict, weak [][2]dfg.NodeID,
 	for _, vb := range valsB {
 		for _, va := range valsA {
 			x, y := va, vb
-			la, lb := ns.life[va], ns.life[vb]
+			la, lb := st.life[va], st.life[vb]
 			if !alloc.Overlaps(la, lb) && lb.Death <= la.Birth {
 				x, y = vb, va // b already expires before a is created
 			}
@@ -1126,8 +1105,8 @@ func (st *state) reschedule(ns *state) (*state, int, float64, error) {
 // policies and candidate orders pose the same augmented problems, and an
 // infeasibility proof is as expensive as a schedule. An infeasible result
 // only ever makes the merger's caller skip the candidate, so replaying the
-// cached error is equivalent to re-deriving it. Schedules are cloned on
-// both store and load because callers mutate the Step map.
+// cached error is equivalent to re-deriving it. Schedules are never
+// mutated once built, so the cached one is shared, not copied.
 func (ns *state) listSchedule() (sched.Schedule, error) {
 	if !ns.cache.enabled() {
 		stop := ns.par.Stats.Time("time.sched")
@@ -1140,7 +1119,7 @@ func (ns *state) listSchedule() (sched.Schedule, error) {
 		if e.err != nil {
 			return sched.Schedule{}, e.err
 		}
-		return e.s.Clone(), nil
+		return e.s, nil
 	}
 	stop := ns.par.Stats.Time("time.sched")
 	s2, err := ns.prob.List(nil)
@@ -1149,6 +1128,6 @@ func (ns *state) listSchedule() (sched.Schedule, error) {
 		ns.cache.storeSched(key, schedEntry{err: err})
 		return sched.Schedule{}, err
 	}
-	ns.cache.storeSched(key, schedEntry{s: s2.Clone()})
+	ns.cache.storeSched(key, schedEntry{s: s2})
 	return s2, nil
 }

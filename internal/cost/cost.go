@@ -12,9 +12,10 @@
 package cost
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/etpn"
 )
@@ -101,62 +102,87 @@ func (e Estimate) String() string {
 // order, each placed on the free grid slot minimizing the total Manhattan
 // distance to its already-placed neighbours. Positions are deterministic.
 func Floorplan(d *etpn.Design) map[int][2]int {
-	n := len(d.Nodes)
-	adj := make(map[int]map[int]int, n)
-	bump := func(a, b int) {
-		if adj[a] == nil {
-			adj[a] = map[int]int{}
-		}
-		adj[a][b]++
-	}
-	for _, a := range d.Arcs {
-		if a.From == a.To {
-			continue
-		}
-		bump(a.From, a.To)
-		bump(a.To, a.From)
-	}
-	order := make([]int, 0, n)
-	for _, nd := range d.Nodes {
-		order = append(order, nd.ID)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := len(adj[order[i]]), len(adj[order[j]])
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
-	})
-	pos := make(map[int][2]int, n)
-	used := map[[2]int]bool{}
-	side := int(math.Ceil(math.Sqrt(float64(n)))) + 2
-	for _, id := range order {
-		best := [2]int{0, 0}
-		bestCost := math.Inf(1)
-		for y := 0; y < side; y++ {
-			for x := 0; x < side; x++ {
-				p := [2]int{x, y}
-				if used[p] {
-					continue
-				}
-				c := 0.0
-				for nb, w := range adj[id] {
-					if q, placed := pos[nb]; placed {
-						c += float64(w) * float64(abs(p[0]-q[0])+abs(p[1]-q[1]))
-					}
-				}
-				// Deterministic tie-break: prefer slots near the origin.
-				c += 1e-6 * float64(p[0]+p[1]*side)
-				if c < bestCost {
-					bestCost = c
-					best = p
-				}
-			}
-		}
-		pos[id] = best
-		used[best] = true
+	px, py := floorplan(d)
+	pos := make(map[int][2]int, len(px))
+	for id := range px {
+		pos[id] = [2]int{px[id], py[id]}
 	}
 	return pos
+}
+
+// floorplan is Floorplan with positions indexed by node id (node ids are
+// the indices of d.Nodes).
+func floorplan(d *etpn.Design) (px, py []int) {
+	n := len(d.Nodes)
+	// Distinct neighbours of every node with their arc multiplicities, in
+	// CSR form: node v's are nb[off[v]:off[v]+deg[v]].
+	off, deg := make([]int, n+1), make([]int, n)
+	for _, a := range d.Arcs {
+		if a.From != a.To {
+			off[a.From+1]++
+			off[a.To+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	nb, w := make([]int, off[n]), make([]int, off[n])
+	bump := func(a, b int) {
+		list := nb[off[a] : off[a]+deg[a]]
+		if i := slices.Index(list, b); i >= 0 {
+			w[off[a]+i]++
+			return
+		}
+		nb[off[a]+deg[a]], w[off[a]+deg[a]] = b, 1
+		deg[a]++
+	}
+	for _, a := range d.Arcs {
+		if a.From != a.To {
+			bump(a.From, a.To)
+			bump(a.To, a.From)
+		}
+	}
+	order := make([]int, n)
+	for v := range order {
+		order[v] = v
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(deg[b], deg[a]), cmp.Compare(a, b))
+	})
+	px, py = make([]int, n), make([]int, n)
+	placed := make([]bool, n)
+	side := int(math.Ceil(math.Sqrt(float64(n)))) + 2
+	used := make([]bool, side*side)
+	// The placed neighbours of the node being placed, as (x, y, weight).
+	near := make([][3]int, 0, n)
+	for _, id := range order {
+		near = near[:0]
+		for i := off[id]; i < off[id]+deg[id]; i++ {
+			if q := nb[i]; placed[q] {
+				near = append(near, [3]int{px[q], py[q], w[i]})
+			}
+		}
+		best, bestCost := 0, math.Inf(1)
+		for slot := range used {
+			if used[slot] {
+				continue
+			}
+			x, y := slot%side, slot/side
+			c := 0
+			for _, q := range near {
+				c += q[2] * (abs(x-q[0]) + abs(y-q[1]))
+			}
+			// Every term is an exact integer, so the sum equals the
+			// float64 sum in any order. Deterministic tie-break: prefer
+			// slots near the origin.
+			if cost := float64(c) + 1e-6*float64(slot); cost < bestCost {
+				best, bestCost = slot, cost
+			}
+		}
+		px[id], py[id] = best%side, best/side
+		placed[id], used[best] = true, true
+	}
+	return px, py
 }
 
 func abs(x int) int {
@@ -185,22 +211,25 @@ func EstimateDesign(d *etpn.Design, lib *Library, width int) Estimate {
 			e.RegArea += lib.RegisterArea(width)
 		}
 	}
-	// Multiplexers: one per destination (node, port) with multiple sources.
-	type dest struct{ node, port int }
-	srcs := map[dest]map[int]bool{}
+	// Multiplexers: one per destination (node, port) with multiple sources,
+	// counted from the sorted, deduplicated (node, port, source) triples.
+	var dst [][3]int
 	for _, a := range d.Arcs {
-		to := d.Nodes[a.To]
-		if to.Kind != etpn.KindModule && to.Kind != etpn.KindRegister {
-			continue
+		if k := d.Nodes[a.To].Kind; k == etpn.KindModule || k == etpn.KindRegister {
+			dst = append(dst, [3]int{a.To, a.ToPort, a.From})
 		}
-		k := dest{a.To, a.ToPort}
-		if srcs[k] == nil {
-			srcs[k] = map[int]bool{}
-		}
-		srcs[k][a.From] = true
 	}
-	for _, set := range srcs {
-		e.MuxArea += lib.MuxArea(width, len(set))
+	slices.SortFunc(dst, func(a, b [3]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]), cmp.Compare(a[2], b[2]))
+	})
+	dst = slices.Compact(dst)
+	for i := 0; i < len(dst); {
+		j := i + 1
+		for j < len(dst) && dst[j][0] == dst[i][0] && dst[j][1] == dst[i][1] {
+			j++
+		}
+		e.MuxArea += lib.MuxArea(width, j-i)
+		i = j
 	}
 	// Wires.
 	nComp := 0
@@ -214,10 +243,9 @@ func EstimateDesign(d *etpn.Design, lib *Library, width int) Estimate {
 	if nComp > 0 {
 		pitch = math.Sqrt(compArea / float64(nComp))
 	}
-	pos := Floorplan(d)
+	px, py := floorplan(d)
 	for _, a := range d.Arcs {
-		p, q := pos[a.From], pos[a.To]
-		dist := float64(abs(p[0]-q[0]) + abs(p[1]-q[1]))
+		dist := float64(abs(px[a.From]-px[a.To]) + abs(py[a.From]-py[a.To]))
 		e.WireArea += dist * pitch * float64(width) * lib.WireWeight
 	}
 	e.Total = e.ModuleArea + e.RegArea + e.MuxArea + e.WireArea

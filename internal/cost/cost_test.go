@@ -9,7 +9,7 @@ import (
 	"repro/internal/sched"
 )
 
-func build(t *testing.T, g *dfg.Graph, oneToOne bool) *etpn.Design {
+func build(t testing.TB, g *dfg.Graph, oneToOne bool) *etpn.Design {
 	t.Helper()
 	s, err := sched.NewProblem(g).ASAP()
 	if err != nil {
@@ -172,5 +172,27 @@ func TestFloorplanBeatsNaivePlacement(t *testing.T) {
 	}
 	if heuristic >= dist(naive) {
 		t.Errorf("floorplan wire length %d not better than naive %d", heuristic, dist(naive))
+	}
+}
+
+// floorplanAllocs bounds the allocations of one Floorplan call on the
+// left-edge Diffeq design: neighbour lists, placement order, positions,
+// grid, and the returned map. No pool is involved, so the count is
+// deterministic and any growth is a regression.
+const floorplanAllocs = 14
+
+func TestFloorplanAllocs(t *testing.T) {
+	d := build(t, dfg.Diffeq(8), false)
+	if n := testing.AllocsPerRun(20, func() { Floorplan(d) }); n > floorplanAllocs {
+		t.Errorf("Floorplan: %v allocs per call, bound %d", n, floorplanAllocs)
+	}
+}
+
+func BenchmarkFloorplan(b *testing.B) {
+	d := build(b, dfg.EWF(8), false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		EstimateDesign(d, nil, 8)
 	}
 }

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dfg"
@@ -32,71 +34,23 @@ func ALUClass(k dfg.OpKind) string {
 	}
 }
 
-// framesWithFixed computes [ASAP, ALAP] frames for every node under the
-// problem's precedence arcs, a latency bound, and a set of already-fixed
-// assignments.
-func (p *Problem) framesWithFixed(latency int, fixed map[dfg.NodeID]int) (asap, alap map[dfg.NodeID]int, err error) {
-	order, err := p.topo()
+// framesWithFixed computes [ASAP, ALAP] frames, indexed by node id, under
+// the problem's precedence arcs, a latency bound, and a set of
+// already-fixed assignments.
+func (p *Problem) framesWithFixed(latency int, fixed map[dfg.NodeID]int) (asap, alap []int, err error) {
+	x, err := p.solve(latency, fixed)
 	if err != nil {
 		return nil, nil, err
 	}
-	asap = make(map[dfg.NodeID]int, len(order))
-	for _, n := range order {
-		st := 1
-		for _, q := range p.preds(n) {
-			if asap[q]+1 > st {
-				st = asap[q] + 1
-			}
-		}
-		for _, q := range p.weakPreds(n) {
-			if asap[q] > st {
-				st = asap[q]
-			}
-		}
-		if f, ok := fixed[n]; ok {
-			if f < st {
-				return nil, nil, fmt.Errorf("sched: fixing %s at %d violates precedence (asap %d)", p.G.Node(n).Name, f, st)
-			}
-			st = f
-		}
-		if st > latency {
-			return nil, nil, fmt.Errorf("sched: latency %d infeasible", latency)
-		}
-		asap[n] = st
-	}
-	alap = make(map[dfg.NodeID]int, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
-		st := latency
-		for _, q := range p.succs(n) {
-			if alap[q]-1 < st {
-				st = alap[q] - 1
-			}
-		}
-		for _, q := range p.weakSuccs(n) {
-			if alap[q] < st {
-				st = alap[q]
-			}
-		}
-		if f, ok := fixed[n]; ok {
-			if f > st {
-				return nil, nil, fmt.Errorf("sched: fixing %s at %d violates successors (alap %d)", p.G.Node(n).Name, f, st)
-			}
-			st = f
-		}
-		if st < asap[n] {
-			return nil, nil, fmt.Errorf("sched: empty frame for %s", p.G.Node(n).Name)
-		}
-		alap[n] = st
-	}
-	return asap, alap, nil
+	defer indexPool.Put(x)
+	return slices.Clone(x.asap), slices.Clone(x.alap), nil
 }
 
 // distributionCost computes the force-directed balancing objective: the sum
 // over module classes and control steps of the squared distribution-graph
 // value, where each unfixed operation spreads probability 1/|frame| over
 // its frame. Lower is a flatter, more shareable schedule.
-func (p *Problem) distributionCost(latency int, class ClassFunc, asap, alap map[dfg.NodeID]int) float64 {
+func (p *Problem) distributionCost(latency int, class ClassFunc, asap, alap []int) float64 {
 	dg := map[string][]float64{}
 	for _, n := range p.G.Nodes() {
 		c := class(n.Kind)
@@ -187,16 +141,7 @@ func (p *Problem) FDS(latency int, class ClassFunc) (Schedule, error) {
 		}
 		fixed[bestNode] = bestStep
 	}
-	s := Schedule{Step: fixed}
-	for _, st := range fixed {
-		if st > s.Len {
-			s.Len = st
-		}
-	}
-	if err := p.Verify(s); err != nil {
-		return Schedule{}, err
-	}
-	return s, nil
+	return p.verified(fixed)
 }
 
 // MobilityPath is the testability-oriented scheduler of Lee et al. [6,7]
@@ -215,17 +160,10 @@ func (p *Problem) MobilityPath(latency int, class ClassFunc) (Schedule, error) {
 	if err != nil {
 		return Schedule{}, err
 	}
-	nodes := append([]*dfg.Node(nil), p.G.Nodes()...)
-	sort.Slice(nodes, func(i, j int) bool {
-		mi := alap0[nodes[i].ID] - asap0[nodes[i].ID]
-		mj := alap0[nodes[j].ID] - asap0[nodes[j].ID]
-		if mi != mj {
-			return mi < mj
-		}
-		if asap0[nodes[i].ID] != asap0[nodes[j].ID] {
-			return asap0[nodes[i].ID] < asap0[nodes[j].ID]
-		}
-		return nodes[i].ID < nodes[j].ID
+	nodes := slices.Clone(p.G.Nodes())
+	slices.SortFunc(nodes, func(a, b *dfg.Node) int { // (mobility, asap, id)
+		return cmp.Or(cmp.Compare(alap0[a.ID]-asap0[a.ID], alap0[b.ID]-asap0[b.ID]),
+			cmp.Compare(asap0[a.ID], asap0[b.ID]), cmp.Compare(a.ID, b.ID))
 	})
 	fixed := map[dfg.NodeID]int{}
 	usage := map[string][]int{} // class -> per-step committed count
@@ -240,12 +178,7 @@ func (p *Problem) MobilityPath(latency int, class ClassFunc) (Schedule, error) {
 			row = make([]int, latency+1)
 			usage[c] = row
 		}
-		readsPI := false
-		for _, v := range n.In {
-			if p.G.Value(v).Kind == dfg.ValInput {
-				readsPI = true
-			}
-		}
+		readsPI := slices.ContainsFunc(n.In, func(v dfg.ValueID) bool { return p.G.Value(v).Kind == dfg.ValInput })
 		writesPO := p.G.Value(n.Out).IsOutput
 		bestStep, bestKey := 0, [3]int{1 << 30, 0, 0}
 		for s := asap[n.ID]; s <= alap[n.ID]; s++ {
@@ -263,11 +196,14 @@ func (p *Problem) MobilityPath(latency int, class ClassFunc) (Schedule, error) {
 		fixed[n.ID] = bestStep
 		row[bestStep]++
 	}
+	return p.verified(fixed)
+}
+
+// verified returns the schedule of the fixed steps if it satisfies p.
+func (p *Problem) verified(fixed map[dfg.NodeID]int) (Schedule, error) {
 	s := Schedule{Step: fixed}
 	for _, st := range fixed {
-		if st > s.Len {
-			s.Len = st
-		}
+		s.Len = max(s.Len, st)
 	}
 	if err := p.Verify(s); err != nil {
 		return Schedule{}, err

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -517,5 +518,53 @@ func TestWeakArcCycleWithStrictRejected(t *testing.T) {
 	p.ExtraWeak = append(p.ExtraWeak, [2]dfg.NodeID{n2, n1})
 	if _, err := p.ASAP(); err == nil {
 		t.Fatal("strict+weak cycle not rejected")
+	}
+}
+
+// diffeqMergerProblem is the scheduling problem of the final merger-loop
+// state of 8-bit Diffeq under the paper's algorithm: the strict and weak
+// arcs its module and register mergers appended (duplicates included, as
+// the merger loop leaves them), its module binding and its latency bound.
+func diffeqMergerProblem(tb testing.TB) *Problem {
+	g := dfg.Diffeq(8)
+	id := func(name string) dfg.NodeID {
+		n, ok := g.NodeByName(name)
+		if !ok {
+			tb.Fatalf("no node %s", name)
+		}
+		return n
+	}
+	arcs := func(pairs string) [][2]dfg.NodeID {
+		var out [][2]dfg.NodeID
+		f := strings.Fields(pairs)
+		for i := 0; i+1 < len(f); i += 2 {
+			out = append(out, [2]dfg.NodeID{id(f[i]), id(f[i+1])})
+		}
+		return out
+	}
+	p := NewProblem(g)
+	p.Extra = arcs(`N27 N31  N29 N33  N30 N34  N25 N36  N27 N31  N31 N35  N26 N29
+		N29 N33  N24 N35  N27 N30  N25 N29  N26 N29  N25 N36  N26 N36  N27 N29
+		N29 N30  N26 N33  N24 N34  N35 N34  N25 N31`)
+	p.ExtraWeak = arcs(`N24 N34  N27 N36  N30 N36  N35 N36  N31 N30  N31 N29  N33 N30
+		N31 N33  N24 N35  N36 N34  N24 N31`)
+	for mod, ops := range [][]string{{"N25", "N36"}, {"N24"}, {"N26", "N29", "N33"}, {"N27", "N31", "N35"}, {"N30", "N34"}} {
+		for _, op := range ops {
+			p.ModuleOf[id(op)] = mod
+		}
+	}
+	p.MaxLen = 4
+	return p
+}
+
+func BenchmarkListSchedule(b *testing.B) {
+	p := diffeqMergerProblem(b)
+	if _, err := p.List(nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.List(nil)
 	}
 }

@@ -16,7 +16,7 @@ package testability
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/dfg"
@@ -127,11 +127,12 @@ func Analyze(d *etpn.Design, cfg Config) *Metrics {
 		}
 	}
 
+	ix := newArcIndex(d)
 	// Forward controllability fixpoint.
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		changed := false
 		for _, nd := range d.Nodes {
-			cc, sc, ok := m.nodeCtrlIn(d, nd)
+			cc, sc, ok := m.nodeCtrlIn(ix, nd)
 			if !ok {
 				continue
 			}
@@ -148,7 +149,7 @@ func Analyze(d *etpn.Design, cfg Config) *Metrics {
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		changed := false
 		for _, nd := range d.Nodes {
-			co, so, ok := m.nodeObsOut(d, nd)
+			co, so, ok := m.nodeObsOut(ix, d, nd)
 			if !ok {
 				continue
 			}
@@ -174,6 +175,44 @@ func Analyze(d *etpn.Design, cfg Config) *Metrics {
 	return m
 }
 
+// arcIndex lists the arcs into and out of every node, each list in arc
+// order: the per-call replacement for Design.ArcsInto and ArcsFrom, which
+// scan every arc and would do so inside the fixpoint. It lives only for
+// one Analyze call; the evaluation cache retains designs, so an index
+// stored on the design would stay resident with each of them.
+type arcIndex struct {
+	inOff, outOff []int
+	in, out       []*etpn.Arc
+}
+
+func newArcIndex(d *etpn.Design) *arcIndex {
+	n := len(d.Nodes)
+	x := &arcIndex{inOff: make([]int, n+1), outOff: make([]int, n+1),
+		in: make([]*etpn.Arc, len(d.Arcs)), out: make([]*etpn.Arc, len(d.Arcs))}
+	// Count into off[v], sum to each list's end, then fill back to front:
+	// every list keeps arc order and off[v] ends at its start.
+	for _, a := range d.Arcs {
+		x.inOff[a.To]++
+		x.outOff[a.From]++
+	}
+	x.inOff[n], x.outOff[n] = len(d.Arcs), len(d.Arcs)
+	for v := 1; v < n; v++ {
+		x.inOff[v] += x.inOff[v-1]
+		x.outOff[v] += x.outOff[v-1]
+	}
+	for i := len(d.Arcs) - 1; i >= 0; i-- {
+		a := d.Arcs[i]
+		x.inOff[a.To]--
+		x.in[x.inOff[a.To]] = a
+		x.outOff[a.From]--
+		x.out[x.outOff[a.From]] = a
+	}
+	return x
+}
+
+func (x *arcIndex) into(v int) []*etpn.Arc { return x.in[x.inOff[v]:x.inOff[v+1]] }
+func (x *arcIndex) from(v int) []*etpn.Arc { return x.out[x.outOff[v]:x.outOff[v+1]] }
+
 // better reports whether the candidate (combinational, sequential) pair
 // scores higher than the incumbent under the lambda-collapsed metric.
 func better(c, s, oc, os, lambda, eps float64) bool {
@@ -191,7 +230,7 @@ func score(c, s, lambda float64) float64 {
 // lines: the best input line for registers (the node inherits the best
 // controllability of any input line, paper §3), and the transfer through
 // the module for module nodes (all operand ports must be controlled).
-func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node) (float64, float64, bool) {
+func (m *Metrics) nodeCtrlIn(ix *arcIndex, nd *etpn.Node) (float64, float64, bool) {
 	if nd.Kind == etpn.KindRegister && m.cfg.ScanNodes[nd.ID] {
 		return 0, 0, false // anchored by the scan chain
 	}
@@ -201,7 +240,7 @@ func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 	case etpn.KindRegister, etpn.KindOutPort:
 		bestC, bestS := 0.0, math.Inf(1)
 		found := false
-		for _, a := range d.ArcsInto(nd.ID) {
+		for _, a := range ix.into(nd.ID) {
 			cc, sc := m.CC[a.From], m.SC[a.From]
 			if cc == 0 {
 				continue
@@ -221,40 +260,47 @@ func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 		// sources uses its best source. If any port has no controllable
 		// source yet, the module is not yet controllable (computing a
 		// partial product would break the monotonicity of the fixpoint).
-		ports := map[int][2]float64{}
-		allPorts := map[int]bool{}
-		for _, a := range d.ArcsInto(nd.ID) {
-			allPorts[a.ToPort] = true
+		// ports holds every operand port, ascending by port id.
+		type port struct {
+			id     int
+			cc, sc float64
+			ok     bool
+		}
+		var buf [4]port
+		ports := buf[:0]
+		for _, a := range ix.into(nd.ID) {
+			i := 0
+			for i < len(ports) && ports[i].id < a.ToPort {
+				i++
+			}
+			if i == len(ports) || ports[i].id != a.ToPort {
+				ports = slices.Insert(ports, i, port{id: a.ToPort})
+			}
 			cc, sc := m.CC[a.From], m.SC[a.From]
 			if cc == 0 {
 				continue
 			}
-			cur, ok := ports[a.ToPort]
-			if !ok || better(cc, sc, cur[0], cur[1], m.cfg.Lambda, 0) {
-				ports[a.ToPort] = [2]float64{cc, sc}
+			if p := &ports[i]; !p.ok || better(cc, sc, p.cc, p.sc, m.cfg.Lambda, 0) {
+				p.cc, p.sc, p.ok = cc, sc, true
 			}
 		}
-		if len(ports) == 0 || len(ports) != len(allPorts) {
+		if len(ports) == 0 {
 			return 0, 0, false
 		}
 		f := m.cfg.factors(nd.Class)
 		cc := f.CTF
 		sc := 0.0
-		// Multiply ports in sorted order: float multiplication is not
-		// associative under rounding, so ranging over the map directly
-		// would let Go's randomized map order perturb cc in its last ulp
-		// and make the fixpoint (and everything ranked by it) vary from
-		// run to run.
-		ids := make([]int, 0, len(ports))
-		for id := range ports {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			p := ports[id]
-			cc *= p[0]
-			if p[1] > sc {
-				sc = p[1]
+		// Multiply ports in ascending port order: float multiplication is
+		// not associative under rounding, so any order that varied from
+		// run to run would perturb cc in its last ulp and make the
+		// fixpoint (and everything ranked by it) vary with it.
+		for _, p := range ports {
+			if !p.ok {
+				return 0, 0, false
+			}
+			cc *= p.cc
+			if p.sc > sc {
+				sc = p.sc
 			}
 		}
 		return cc, sc, true
@@ -266,7 +312,7 @@ func (m *Metrics) nodeCtrlIn(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 // lines: the best output line (paper §3). Observing a value through a
 // module requires controlling the module's other operand ports, which
 // scales the line observability by their controllability.
-func (m *Metrics) nodeObsOut(d *etpn.Design, nd *etpn.Node) (float64, float64, bool) {
+func (m *Metrics) nodeObsOut(ix *arcIndex, d *etpn.Design, nd *etpn.Node) (float64, float64, bool) {
 	if nd.Kind == etpn.KindOutPort {
 		return 0, 0, false // fixed sink
 	}
@@ -275,7 +321,7 @@ func (m *Metrics) nodeObsOut(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 	}
 	bestC, bestS := 0.0, math.Inf(1)
 	found := false
-	for _, a := range d.ArcsFrom(nd.ID) {
+	for _, a := range ix.from(nd.ID) {
 		to := d.Nodes[a.To]
 		var co, so float64
 		switch to.Kind {
@@ -288,13 +334,13 @@ func (m *Metrics) nodeObsOut(d *etpn.Design, nd *etpn.Node) (float64, float64, b
 			f := m.cfg.factors(to.Class)
 			co *= f.OTF
 			// Control of the sibling operand ports gates propagation.
-			for _, sib := range d.ArcsInto(a.To) {
+			for _, sib := range ix.into(a.To) {
 				if sib.ToPort == a.ToPort {
 					continue
 				}
 				// Best source controllability on the sibling port.
 				best := 0.0
-				for _, s2 := range d.ArcsInto(a.To) {
+				for _, s2 := range ix.into(a.To) {
 					if s2.ToPort == sib.ToPort && m.CC[s2.From] > best {
 						best = m.CC[s2.From]
 					}

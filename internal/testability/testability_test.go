@@ -10,7 +10,7 @@ import (
 	"repro/internal/sched"
 )
 
-func build(t *testing.T, g *dfg.Graph) *etpn.Design {
+func build(t testing.TB, g *dfg.Graph) *etpn.Design {
 	t.Helper()
 	s, err := sched.NewProblem(g).ASAP()
 	if err != nil {
@@ -294,5 +294,29 @@ func TestConfigOverrides(t *testing.T) {
 	// Unknown classes fall back to defaults without panicking.
 	if f := cfg.factors("weird"); f.CTF <= 0 {
 		t.Error("fallback factors missing")
+	}
+}
+
+// analyzeAllocs bounds the allocations of one Analyze call on the
+// left-edge Diffeq design: the four metric slices, the per-call arc index
+// and the Metrics itself. No pool is involved, so the count is
+// deterministic and any growth is a regression.
+const analyzeAllocs = 10
+
+func TestAnalyzeAllocs(t *testing.T) {
+	d := build(t, dfg.Diffeq(8))
+	cfg := DefaultConfig()
+	if n := testing.AllocsPerRun(20, func() { Analyze(d, cfg) }); n > analyzeAllocs {
+		t.Errorf("Analyze: %v allocs per call, bound %d", n, analyzeAllocs)
+	}
+}
+
+func BenchmarkTestabilityAnalyze(b *testing.B) {
+	d := build(b, dfg.EWF(8))
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Analyze(d, cfg)
 	}
 }
