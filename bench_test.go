@@ -320,10 +320,12 @@ func BenchmarkFaultSimParallel(b *testing.B) {
 // BenchmarkBIST measures the BIST session evaluator on the 4-bit Diffeq
 // design at 1 lane (the historical single-session evaluator) and 64
 // lanes (PPSFP: all simulator lanes carry independent sessions). Both
-// sub-benchmarks spend the same simulation passes per fault, so
+// sub-benchmarks spend the same nominal simulation passes per fault, so
 // passes/session — the simulation cost per pseudorandom session — drops
-// 64x at lanes=64; CI records both rows (with allocs) in
-// BENCH_synth.json.
+// 64x at lanes=64. evals/op is the deterministic cost column: the gate
+// evaluations the differential session actually performed, against the
+// gates×cycles×(faults+1) a full resimulation would spend. CI records
+// every row (with allocs) in BENCH_synth.json.
 func BenchmarkBIST(b *testing.B) {
 	g, err := LoadBenchmark(BenchDiffeq, 4)
 	if err != nil {
@@ -352,6 +354,7 @@ func BenchmarkBIST(b *testing.B) {
 			}
 			b.ReportMetric(100*out.Coverage, "cov%")
 			b.ReportMetric(float64(out.Passes)/float64(out.Evaluated*out.Lanes), "passes/session")
+			b.ReportMetric(float64(out.GateEvals), "evals/op")
 		})
 	}
 }

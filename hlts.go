@@ -222,8 +222,9 @@ func GenerateNetlistWithBIST(r *Result, width int, tpg, misr []int) (*Netlist, e
 }
 
 // BISTConfig tunes a BIST session (see atpg.BISTConfig): lane count
-// (independent pseudorandom sessions per simulation pass), stimulus seed
-// and TPG registers for per-lane seeding.
+// (independent pseudorandom sessions per simulation pass), stimulus seed,
+// TPG registers for per-lane seeding, and the worker budget the fault list
+// is spread over.
 type BISTConfig = atpg.BISTConfig
 
 // RunBIST evaluates a BIST netlist: the self-test session free-runs for
@@ -236,9 +237,9 @@ func RunBIST(n *Netlist, sampleFaults, cycles int) (*atpg.BISTOutcome, error) {
 }
 
 // RunBISTCtx is RunBIST under a context: on cancellation or deadline the
-// session stops at the next fault boundary and reports the coverage over
-// the faults evaluated so far with Status == StatusPartial, like every
-// other cancellable job in the system.
+// session stops at the next fault or trajectory-window boundary and
+// reports the coverage over the completed prefix of faults with Status ==
+// StatusPartial, like every other cancellable job in the system.
 func RunBISTCtx(ctx context.Context, n *Netlist, sampleFaults, cycles int) (*atpg.BISTOutcome, error) {
 	return RunBISTCfgCtx(ctx, n, sampleFaults, cycles, BISTConfig{})
 }

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -40,7 +41,7 @@ func buildBISTNetlist(t *testing.T) *rtl.Netlist {
 func TestRunBISTCyclesError(t *testing.T) {
 	nl := buildBISTNetlist(t)
 	for _, cycles := range []int{0, -3} {
-		_, err := RunBIST(nl.C, 10, cycles)
+		_, err := RunBISTCfgCtx(context.Background(), nl.C, 10, cycles, BISTConfig{})
 		if !errors.Is(err, ErrBISTCycles) {
 			t.Errorf("cycles=%d: err = %v, want ErrBISTCycles", cycles, err)
 		}
@@ -50,7 +51,7 @@ func TestRunBISTCyclesError(t *testing.T) {
 func TestRunBISTLanesValidation(t *testing.T) {
 	nl := buildBISTNetlist(t)
 	for _, lanes := range []int{-1, 65, 1000} {
-		if _, err := RunBISTCfg(nl.C, 10, 4, BISTConfig{Lanes: lanes}); err == nil {
+		if _, err := RunBISTCfgCtx(context.Background(), nl.C, 10, 4, BISTConfig{Lanes: lanes}); err == nil {
 			t.Errorf("lanes=%d: expected error", lanes)
 		}
 	}
@@ -65,7 +66,7 @@ func TestRunBISTDuplicateEnable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBIST(c, 10, 4); !errors.Is(err, ErrDuplicateBISTEnable) {
+	if _, err := RunBISTCfgCtx(context.Background(), c, 10, 4, BISTConfig{}); !errors.Is(err, ErrDuplicateBISTEnable) {
 		t.Fatalf("err = %v, want ErrDuplicateBISTEnable", err)
 	}
 }
@@ -154,7 +155,7 @@ func TestRunBISTSingleLaneMatchesLegacy(t *testing.T) {
 			nRef++
 		}
 	}
-	out, err := RunBISTCfg(nl.C, faults, cycles, BISTConfig{Lanes: 1, TPGRegs: nl.BISTTpg})
+	out, err := RunBISTCfgCtx(context.Background(), nl.C, faults, cycles, BISTConfig{Lanes: 1, TPGRegs: nl.BISTTpg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +174,11 @@ func TestRunBISTSingleLaneMatchesLegacy(t *testing.T) {
 func TestRunBISTLaneMonotonicAndPasses(t *testing.T) {
 	nl := buildBISTNetlist(t)
 	const faults, cycles = 60, 48
-	one, err := RunBISTCfg(nl.C, faults, cycles, BISTConfig{Lanes: 1, TPGRegs: nl.BISTTpg})
+	one, err := RunBISTCfgCtx(context.Background(), nl.C, faults, cycles, BISTConfig{Lanes: 1, TPGRegs: nl.BISTTpg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := RunBISTCfg(nl.C, faults, cycles, BISTConfig{TPGRegs: nl.BISTTpg})
+	all, err := RunBISTCfgCtx(context.Background(), nl.C, faults, cycles, BISTConfig{TPGRegs: nl.BISTTpg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +193,18 @@ func TestRunBISTLaneMonotonicAndPasses(t *testing.T) {
 			t.Errorf("Lanes=%d: Passes = %d, want %d", out.Lanes, out.Passes, want)
 		}
 	}
+}
+
+// sessionVectors materialises the first `cycles` rows of a BIST stimulus
+// stream, for tests that replay it on a plain Sim.
+func sessionVectors(cycles, nIn, lanes int, seed uint64, forceInput int) [][]uint64 {
+	stim := newBISTStimulus(lanes, seed, forceInput)
+	vec := make([][]uint64, cycles)
+	for t := range vec {
+		vec[t] = make([]uint64, nIn)
+		stim.fill(vec[t])
+	}
+	return vec
 }
 
 // Property: a packed 64-lane simulation is bit-identical to 64 separate

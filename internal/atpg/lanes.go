@@ -29,15 +29,21 @@ func (s *xorshift64) next() uint64 {
 // lane sessions reproduce the historical coverage trajectories.
 const defaultBISTSeed = 0x9E3779B97F4A7C15
 
-// sessionVectors builds the per-cycle PI words driving `lanes`
-// independent pseudorandom sessions: one distinct xorshift64 stream per
-// lane, lane 0 seeded with `seed` directly (the legacy stream) and lanes
-// 1.. with SplitMix64-derived seeds. Every stream is consumed once per
-// (cycle, input) — including the forced input — so lane 0's bit sequence
-// is aligned with the single-stream evaluator of old. forceInput (the
-// bist_en index) is driven all-ones in every lane. The rows share one
-// flat backing array.
-func sessionVectors(cycles, nIn, lanes int, seed uint64, forceInput int) [][]uint64 {
+// bistStimulus generates the per-cycle PI words driving `lanes`
+// independent pseudorandom sessions, one row per call: one distinct
+// xorshift64 stream per lane, lane 0 seeded with `seed` directly (the
+// legacy stream) and lanes 1.. with SplitMix64-derived seeds. Every stream
+// is consumed once per (cycle, input) — including the forced input — so
+// lane 0's bit sequence is aligned with the single-stream evaluator of old.
+// forceInput (the bist_en index) is driven all-ones in every lane. The
+// streams carry over from row to row, so a session of any length is
+// generated without materialising it.
+type bistStimulus struct {
+	streams    []xorshift64
+	forceInput int
+}
+
+func newBISTStimulus(lanes int, seed uint64, forceInput int) *bistStimulus {
 	streams := make([]xorshift64, lanes)
 	streams[0] = xorshift64(seed)
 	for l := 1; l < lanes; l++ {
@@ -47,25 +53,23 @@ func sessionVectors(cycles, nIn, lanes int, seed uint64, forceInput int) [][]uin
 		}
 		streams[l] = xorshift64(s)
 	}
-	vec := make([][]uint64, cycles)
-	flat := make([]uint64, cycles*nIn)
-	for t := range vec {
-		v := flat[t*nIn : (t+1)*nIn : (t+1)*nIn]
-		for i := range v {
-			var w uint64
-			for l := range streams {
-				if streams[l].next()&1 != 0 {
-					w |= 1 << uint(l)
-				}
+	return &bistStimulus{streams: streams, forceInput: forceInput}
+}
+
+// fill writes the next cycle's PI words into row.
+func (b *bistStimulus) fill(row []uint64) {
+	for i := range row {
+		var w uint64
+		for l := range b.streams {
+			if b.streams[l].next()&1 != 0 {
+				w |= 1 << uint(l)
 			}
-			v[i] = w
 		}
-		if forceInput >= 0 {
-			v[forceInput] = ^uint64(0)
-		}
-		vec[t] = v
+		row[i] = w
 	}
-	return vec
+	if b.forceInput >= 0 {
+		row[b.forceInput] = ^uint64(0)
+	}
 }
 
 // wideVectors fills a cycles×nIn vector block where every lane of every

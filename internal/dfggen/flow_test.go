@@ -1,6 +1,7 @@
 package dfggen_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestGeneratedSweepAllFlows(t *testing.T) {
 				if err != nil {
 					t.Fatalf("bist netlist: %v", err)
 				}
-				if _, err := atpg.RunBIST(bnl.C, 16, 64); err != nil {
+				if _, err := atpg.RunBISTCfgCtx(context.Background(), bnl.C, 16, 64, atpg.BISTConfig{}); err != nil {
 					t.Fatalf("bist: %v", err)
 				}
 			}

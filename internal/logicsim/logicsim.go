@@ -19,7 +19,6 @@ type Sim struct {
 	vals  []uint64
 	state []uint64 // per DFF index
 	po    []uint64 // Eval output buffer, reused across calls
-	dffIx map[int]int
 	// Fault, when non-nil, is injected during evaluation (all 64 patterns).
 	Fault *fault.Fault
 }
@@ -30,16 +29,11 @@ func New(c *gates.Circuit) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	dffIx := make(map[int]int, len(c.DFFs))
-	for i, d := range c.DFFs {
-		dffIx[d] = i
-	}
 	return &Sim{
 		C: c, order: order,
 		vals:  make([]uint64, len(c.Gates)),
 		state: make([]uint64, len(c.DFFs)),
 		po:    make([]uint64, len(c.Outputs)),
-		dffIx: dffIx,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -327,10 +328,10 @@ func ScanStudy(bench string, width, maxScan int, seed int64, workers int) (strin
 // simulation cost of a self-test session at 1 lane (the historical
 // single-session evaluator) and at 64 lanes (PPSFP — every simulator lane
 // carries an independent pseudorandom session), over increasing session
-// lengths. passes/session is the number of whole-circuit simulation
-// passes spent per pseudorandom session: the lane-parallel evaluator
+// lengths. passes/session is the number of nominal whole-circuit
+// simulation passes per pseudorandom session: the lane-parallel evaluator
 // divides it by the lane count. `workers` is the goroutine budget of the
-// synthesis (the session replay itself is sequential).
+// synthesis and of each session.
 func BISTStudy(bench string, width, nTpg, nMisr int, cyclesList []int, faults int, seed uint64, workers int) (string, error) {
 	g, err := dfg.ByName(bench, width)
 	if err != nil {
@@ -354,8 +355,8 @@ func BISTStudy(bench string, width, nTpg, nMisr int, cyclesList []int, faults in
 	fmt.Fprintf(&b, "%-8s %6s %12s %16s\n", "cycles", "lanes", "coverage", "passes/session")
 	for _, cycles := range cyclesList {
 		for _, lanes := range []int{1, 64} {
-			out, err := atpg.RunBISTCfg(nl.C, faults, cycles,
-				atpg.BISTConfig{Lanes: lanes, Seed: seed, TPGRegs: nl.BISTTpg})
+			out, err := atpg.RunBISTCfgCtx(context.Background(), nl.C, faults, cycles,
+				atpg.BISTConfig{Lanes: lanes, Seed: seed, TPGRegs: nl.BISTTpg, Workers: workers})
 			if err != nil {
 				return "", err
 			}

@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/atpg"
@@ -214,7 +215,7 @@ func TestBISTSessionDetectsFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := atpg.RunBIST(nl.C, 400, 120)
+	out, err := atpg.RunBISTCfgCtx(context.Background(), nl.C, 400, 120, atpg.BISTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestRunBISTRequiresBISTNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := atpg.RunBIST(nl.C, 100, 50); err == nil {
+	if _, err := atpg.RunBISTCfgCtx(context.Background(), nl.C, 100, 50, atpg.BISTConfig{}); err == nil {
 		t.Error("expected missing-bist_en error")
 	}
 }

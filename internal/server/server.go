@@ -448,7 +448,7 @@ func (s *Server) runTestDesign(ctx context.Context, n *NormTestDesign) (int, []b
 			return 0, nil, false, err
 		}
 		bres, err = hlts.RunBISTCfgCtx(ctx, bn, n.BIST.Faults, n.BIST.Cycles,
-			hlts.BISTConfig{Lanes: n.BIST.Lanes})
+			hlts.BISTConfig{Lanes: n.BIST.Lanes, Workers: n.Params.Workers})
 		if err != nil {
 			return 0, nil, false, err
 		}
